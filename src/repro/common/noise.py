@@ -3,11 +3,12 @@
 The PowerSensor3 sensor front-ends are band-limited analog parts: the
 MLX91221 Hall current sensor has a 300 kHz bandwidth and the ACPL-C87B
 voltage sensor a 100 kHz bandwidth.  The firmware's ADC takes its six
-averaged sub-samples only ~1 us apart, i.e. *within* the correlation time of
-that noise, so the average reduces noise by less than sqrt(6).  Modelling
-the noise as an Ornstein-Uhlenbeck (OU) process with the datasheet
-bandwidth reproduces exactly this effect, which is what reconciles the
-datasheet noise numbers with the measured Table II statistics in the paper.
+averaged sub-samples one ADC scan (8.33 us) apart, i.e. *within* the
+correlation time of that noise, so the average reduces noise by less than
+sqrt(6).  Modelling the noise as an Ornstein-Uhlenbeck (OU) process with
+the datasheet bandwidth reproduces exactly this effect, which is what
+reconciles the datasheet noise numbers with the measured Table II
+statistics in the paper.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class OrnsteinUhlenbeckNoise:
         innov_sigma = self.sigma * np.sqrt(np.maximum(1.0 - rhos**2, 0.0))
         innovations = self._rng.normal(0.0, 1.0, size=n) * innov_sigma
 
-        # Sequential recurrence; chunk sizes here are modest (the vectorised
-        # fast path in repro.core uses sample_fast below).
+        # Sequential recurrence over non-uniform steps; uniform grids take
+        # the vectorised sample_uniform below.
         x = prev_x
         for i in range(n):
             x = rhos[i] * x + innovations[i]
@@ -111,10 +112,10 @@ class OrnsteinUhlenbeckNoise:
     def sample_uniform(self, start: float, dt: float, n: int) -> np.ndarray:
         """Vectorised sampling on a uniform grid ``start + i*dt``.
 
-        Equivalent in distribution to :meth:`sample` on the same grid but
-        O(n) with numpy scan-free vectorisation (log-space prefix trick is
-        unnecessary: with constant rho the recurrence is an AR(1) filter,
-        evaluated with a cumulative product formulation).
+        Equivalent in distribution to :meth:`sample` on the same grid.  With
+        a constant step the decay ``rho`` is constant, so the recurrence is
+        an AR(1) filter that :func:`_ar1_filter` evaluates in one
+        ``lfilter`` pass.
         """
         if n <= 0:
             return np.zeros(0)
@@ -133,8 +134,8 @@ class OrnsteinUhlenbeckNoise:
                 0.0, self.sigma * math.sqrt(max(1.0 - gap_rho**2, 0.0))
             )
         innov_sigma = self.sigma * math.sqrt(max(1.0 - rho**2, 0.0))
-        innovations = self._rng.normal(0.0, 1.0, size=n) * innov_sigma
-        innovations[0] = 0.0
+        innovations = self._rng.normal(0.0, 1.0, size=n)
+        innovations *= innov_sigma
         out = _ar1_filter(rho, x0, innovations)
         self._last_time = start + (n - 1) * dt
         self._last_value = float(out[-1])
@@ -149,13 +150,13 @@ def _ar1_filter(rho: float, x0: float, innovations: np.ndarray) -> np.ndarray:
     like the closed-form cumulative-sum formulation needs, and ~2 orders of
     magnitude faster than a Python loop for the short chunk sizes the
     firmware simulation uses.
+
+    ``innovations`` is consumed: its first element, which the recurrence
+    never uses, is overwritten with ``x0`` to seed the filter.
     """
     from scipy.signal import lfilter
 
-    n = innovations.size
-    if n == 0:
+    if innovations.size == 0:
         return np.empty(0)
-    driven = np.array(innovations, dtype=float, copy=True)
-    driven[0] = x0  # the first output is x0 exactly; innovations[0] is unused
-    out = lfilter([1.0], [1.0, -rho], driven)
-    return out
+    innovations[0] = x0
+    return lfilter([1.0], [1.0, -rho], innovations)

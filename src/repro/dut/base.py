@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.common.clock import uniform_times
 from repro.common.errors import MeasurementError
 
 
@@ -77,6 +78,25 @@ class PowerTrace:
             )
 
 
+def hold_index(grid: np.ndarray, times) -> np.ndarray:
+    """Sample-and-hold index of each query time in a non-decreasing grid.
+
+    Equals ``np.clip(np.searchsorted(grid, times, "right") - 1, 0,
+    grid.size - 1)``: the last grid point at or before each time, and 0
+    for times before the grid starts.  The full grid is searched only
+    at the queries' min and max; every query is then placed within the
+    slice between them, which for a short block of a long trace is a few
+    cache-resident steps instead of a search of the whole trace.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        return np.zeros(times.shape, dtype=np.intp)
+    lo = int(np.searchsorted(grid, times.min(), side="right"))
+    hi = int(np.searchsorted(grid, times.max(), side="right"))
+    idx = np.searchsorted(grid[lo:hi], times, side="right") + (lo - 1)
+    return np.clip(idx, 0, grid.size - 1)
+
+
 class ConstantRail:
     """A rail at fixed voltage and current."""
 
@@ -95,7 +115,7 @@ class FunctionRail:
         self.fn = fn
 
     def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+        times = uniform_times(start, dt, n)
         volts, amps = self.fn(times)
         return (
             np.broadcast_to(np.asarray(volts, dtype=float), times.shape).copy(),
@@ -117,9 +137,8 @@ class TraceRail:
         self.offset = float(offset)
 
     def sample_uniform(self, start: float, dt: float, n: int):
-        times = start - self.offset + dt * np.arange(n)
-        idx = np.searchsorted(self.trace.times, times, side="right") - 1
-        idx = np.clip(idx, 0, self.trace.times.size - 1)
+        times = uniform_times(start - self.offset, dt, n)
+        idx = hold_index(self.trace.times, times)
         return self.trace.volts[idx].copy(), self.trace.amps[idx].copy()
 
 
@@ -186,7 +205,7 @@ class SegmentRail:
             del self._starts[:keep], self._stops[:keep], self._watts[:keep]
 
     def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+        times = uniform_times(start, dt, n)
         watts = np.full(n, self.idle_watts)
         if self._starts:
             starts = np.asarray(self._starts)
@@ -235,14 +254,12 @@ class SplitRail:
         self.droop_ohms = float(droop_ohms)
 
     def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+        times = uniform_times(start, dt, n)
         watts = np.asarray(self.total_watts_fn(times), dtype=float) * self.share
         # Solve u = V0 - R * i with i = p / u; one Newton step from u = V0
         # is plenty for the few-mOhm droops involved.
         volts = np.full(n, self.nominal_volts)
         if self.droop_ohms > 0.0:
-            amps0 = watts / volts
-            volts = volts - self.droop_ohms * amps0
-            volts = np.maximum(volts, 0.5 * self.nominal_volts)
-        amps = watts / volts
-        return volts, amps
+            volts -= self.droop_ohms * (watts / self.nominal_volts)
+            np.maximum(volts, 0.5 * self.nominal_volts, out=volts)
+        return volts, watts / volts

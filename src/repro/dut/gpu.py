@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.common.errors import MeasurementError
 from repro.common.rng import RngStream
-from repro.dut.base import PowerTrace, SplitRail
+from repro.dut.base import PowerTrace, SplitRail, hold_index
 
 
 @dataclass(frozen=True)
@@ -258,10 +258,10 @@ class Gpu:
 
     def rails(self, trace: PowerTrace) -> dict[str, SplitRail]:
         """Split a board trace into the three physical feeds of a PCIe card."""
+        grid, board_watts = trace.times, trace.watts
+
         def total_watts(times: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(trace.times, times, side="right") - 1
-            idx = np.clip(idx, 0, trace.times.size - 1)
-            return trace.watts[idx]
+            return board_watts[hold_index(grid, times)]
 
         spec = self.spec
         return {

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.clock import uniform_times
 from repro.common.errors import MeasurementError
 
 
@@ -102,7 +103,7 @@ class LoadedSupplyRail:
         self.load = load
 
     def sample_uniform(self, start: float, dt: float, n: int):
-        times = start + dt * np.arange(n)
+        times = uniform_times(start, dt, n)
         amps = self.load.current_at(times)
         volts = self.supply.voltage_under_load(amps)
         return volts, amps

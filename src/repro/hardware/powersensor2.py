@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.clock import uniform_times
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.hardware.adc import Adc
@@ -105,7 +106,7 @@ class PowerSensor2:
         """
         n = max(int(round(duration * self.sample_rate)), 1)
         dt = 1.0 / self.sample_rate
-        times = start + dt * np.arange(n)
+        times = uniform_times(start, dt, n)
         total = np.zeros(n)
         for channel, sensor in enumerate(self.sensors):
             rail = self.rails[channel]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.clock import uniform_times
 from repro.common.noise import OrnsteinUhlenbeckNoise
 from repro.common.rng import RngStream
 
@@ -103,6 +104,11 @@ class _DriftModel:
     need to integrate anything between sample windows.
     """
 
+    #: Widest spacing (s) of the knots :meth:`offset_interpolated` uses.
+    #: The fastest term has a period of ~6 h, so linear interpolation over
+    #: 1 s is exact to ~1e-11 A (``h**2 / 8`` times the largest curvature).
+    KNOT_SPACING_S = 1.0
+
     def __init__(self, tempco_a_per_k: float, rng: RngStream) -> None:
         self.tempco_a_per_k = tempco_a_per_k
         # Diurnal ambient temperature swing amplitude (kelvin) and phase;
@@ -113,6 +119,20 @@ class _DriftModel:
         # bounded random walk while staying analytic in t.
         self.wander_amps = rng.normal(0.0, 0.15, size=3) * tempco_a_per_k
         self.wander_freqs = rng.uniform(1.0, 4.0, size=3) / 86400.0  # per second
+
+    def offset_interpolated(self, times: np.ndarray) -> np.ndarray:
+        """Drift at sorted ``times``, interpolated between knots.
+
+        :meth:`offset_at` is evaluated on evenly spaced knots at most
+        :attr:`KNOT_SPACING_S` apart spanning ``times``, then linearly
+        interpolated.
+        """
+        if times.size == 0:
+            return np.zeros(0)
+        first, last = float(times[0]), float(times[-1])
+        segments = max(int(np.ceil((last - first) / self.KNOT_SPACING_S)), 1)
+        knots = np.linspace(first, last, segments + 1)
+        return np.interp(times, knots, self.offset_at(knots))
 
     def offset_at(self, t: float | np.ndarray):
         day = 2 * np.pi / 86400.0
@@ -173,12 +193,12 @@ class CurrentSensor:
         return self.vdd / 2.0
 
     def _effective_current(
-        self, currents_a: np.ndarray, times: np.ndarray
+        self, currents_a: np.ndarray, times: np.ndarray, drift: np.ndarray
     ) -> np.ndarray:
         effective = (
             currents_a
             + self.offset_a
-            + self._drift.offset_at(times)
+            + drift
             + self.nonlinearity * currents_a**3
         )
         if self.external_field is not None and self.field_coupling_a_per_mt:
@@ -191,7 +211,9 @@ class CurrentSensor:
         """Analog output voltages for true currents at the given times."""
         currents_a = np.asarray(currents_a, dtype=float)
         times = np.asarray(times, dtype=float)
-        effective = self._effective_current(currents_a, times)
+        effective = self._effective_current(
+            currents_a, times, self._drift.offset_at(times)
+        )
         v = self.zero_current_voltage + self.sensitivity * effective
         v = v + self._noise.sample(times)
         return np.clip(v, 0.0, self.vdd)
@@ -199,11 +221,18 @@ class CurrentSensor:
     def transduce_uniform(
         self, currents_a: np.ndarray, start: float, dt: float
     ) -> np.ndarray:
-        """Fast path: same as :meth:`transduce` on a uniform time grid."""
+        """Fast path: :meth:`transduce` on a uniform time grid.
+
+        The drift comes from :meth:`_DriftModel.offset_interpolated` (knots
+        at most 1 s apart, linearly interpolated) instead of being evaluated
+        at every sub-sample.
+        """
         currents_a = np.asarray(currents_a, dtype=float)
         n = currents_a.size
-        times = start + dt * np.arange(n)
-        effective = self._effective_current(currents_a, times)
+        times = uniform_times(start, dt, n)
+        effective = self._effective_current(
+            currents_a, times, self._drift.offset_interpolated(times)
+        )
         v = self.zero_current_voltage + self.sensitivity * effective
         v = v + self._noise.sample_uniform(start, dt, n)
         return np.clip(v, 0.0, self.vdd)

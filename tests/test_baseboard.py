@@ -93,3 +93,27 @@ def test_averaged_codes_are_10bit():
 def test_display_present_with_precomputed_fonts():
     board = Baseboard()
     assert board.display.stats.glyph_cache_misses > 0  # precompute ran
+
+
+def _noisy_gpu_board(seed: int) -> Baseboard:
+    """Four production-spread modules, three on GPU feeds, one unconnected."""
+    from repro.dut.gpu import Gpu, KernelLaunch
+
+    gpu = Gpu("rtx4000ada", RngStream(seed, "gpu"))
+    gpu.launch(KernelLaunch(start=0.01, duration=0.3, n_waves=6))
+    rails = gpu.rails(gpu.render(t_end=0.5, dt=1e-4))
+    board = Baseboard()
+    for slot, key in enumerate(["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]):
+        board.attach(slot, SensorModule.manufacture(key, RngStream(seed, f"slot{slot}")))
+    for slot, feed in enumerate(["slot_12v", "ext_12v", "slot_3v3"]):
+        board.connect(slot, rails[feed])
+    return board
+
+
+@pytest.mark.parametrize("start,n", [(0.0, 0), (0.0, 1), (0.013, 777), (0.2, 4000)])
+def test_averaged_codes_are_the_rounded_mean_of_read_codes(start, n):
+    # Noise is stateful, so each call gets its own identically seeded board.
+    raw = _noisy_gpu_board(5).read_codes(start, n)
+    averaged = _noisy_gpu_board(5).averaged_codes(start, n)
+    assert averaged.shape == (n, CHANNELS)
+    np.testing.assert_array_equal(averaged, (raw.sum(axis=1) + 3) // 6)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import MeasurementError
 from repro.dut.base import (
@@ -12,6 +14,7 @@ from repro.dut.base import (
     SegmentRail,
     SplitRail,
     TraceRail,
+    hold_index,
 )
 
 
@@ -137,3 +140,44 @@ def test_power_trace_save_load_roundtrip(tmp_path):
     assert np.array_equal(restored.times, trace.times)
     assert np.array_equal(restored.amps, trace.amps)
     assert restored.energy() == pytest.approx(trace.energy())
+
+
+# Grids on quarter-integer times: exact floats, with repeated points.
+hold_grids = st.lists(st.integers(-40, 40), min_size=1, max_size=40).map(
+    lambda xs: np.sort(np.array(xs, dtype=float) / 4.0)
+)
+# Queries reach before the first and past the last grid point.
+scattered_times = st.lists(
+    st.one_of(
+        st.floats(-15.0, 15.0, allow_nan=False),
+        st.integers(-60, 60).map(lambda k: k / 4.0),  # exactly on grid times
+    ),
+    max_size=60,
+).map(lambda xs: np.array(xs, dtype=float))
+uniform_times = st.tuples(
+    st.floats(-15.0, 15.0, allow_nan=False),
+    st.sampled_from([0.0, 1e-3, 0.05, 0.25, 0.7]),
+    st.integers(0, 80),
+).map(lambda t: t[0] + t[1] * np.arange(t[2]))
+
+
+def _reference_hold(grid, times):
+    return np.clip(np.searchsorted(grid, times, "right") - 1, 0, grid.size - 1)
+
+
+@given(hold_grids, st.one_of(scattered_times, uniform_times))
+def test_hold_index_equals_full_searchsorted(grid, times):
+    idx = hold_index(grid, times)
+    assert idx.shape == times.shape
+    np.testing.assert_array_equal(idx, _reference_hold(grid, times))
+
+
+def test_hold_index_edges():
+    grid = np.array([1.0, 2.0, 2.0, 2.0, 3.0])
+    assert hold_index(grid, np.zeros(0)).shape == (0,)
+    # Before the first point reads index 0; past the last holds the last;
+    # a repeated time holds its last copy.
+    np.testing.assert_array_equal(
+        hold_index(grid, np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 9.0])),
+        [0, 0, 0, 3, 3, 4, 4],
+    )

@@ -111,3 +111,27 @@ def test_transduce_matches_transduce_uniform_shape():
     times = np.arange(5) * 1e-4
     general = sensor.transduce(np.ones(5), times)
     assert general.shape == (5,)
+
+
+#: (samples, spacing) from one ADC sub-sample up to a 600 s block.
+DRIFT_BLOCKS = [(1, 8.333e-6), (6, 8.333e-6), (40_000, 8.333e-6),
+                (120_000, 8.333e-6), (250_000, 1e-5), (600_001, 1e-3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n,dt", DRIFT_BLOCKS)
+def test_interpolated_drift_tracks_offset_at_over_50_hours(seed, n, dt):
+    drift = CurrentSensor(0.12, 0.0, RngStream(seed))._drift
+    for start in np.linspace(0.0, 50 * 3600.0, 11):
+        times = start + dt * np.arange(n)
+        error = drift.offset_interpolated(times) - drift.offset_at(times)
+        assert np.abs(error).max() <= 1e-10
+
+
+def test_transduce_uniform_drift_matches_exact_transduce():
+    sensor = CurrentSensor(0.12, 0.0, RngStream(4), nonlinearity=1e-4)
+    currents = np.linspace(-3.0, 9.0, 50_000)
+    start, dt = 31.7 * 3600.0, 8.333e-6
+    uniform = sensor.transduce_uniform(currents, start, dt)
+    exact = sensor.transduce(currents, start + dt * np.arange(currents.size))
+    assert np.abs(uniform - exact).max() <= 0.12 * 1e-10
