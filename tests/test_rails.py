@@ -155,7 +155,10 @@ scattered_times = st.lists(
     max_size=60,
 ).map(lambda xs: np.array(xs, dtype=float))
 uniform_times = st.tuples(
-    st.floats(-15.0, 15.0, allow_nan=False),
+    st.one_of(
+        st.floats(-15.0, 15.0, allow_nan=False),
+        st.integers(-60, 60).map(lambda k: k / 4.0),
+    ),
     st.sampled_from([0.0, 1e-3, 0.05, 0.25, 0.7]),
     st.integers(0, 80),
 ).map(lambda t: t[0] + t[1] * np.arange(t[2]))
@@ -181,3 +184,6 @@ def test_hold_index_edges():
         hold_index(grid, np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 9.0])),
         [0, 0, 0, 3, 3, 4, 4],
     )
+    # Block ends that fall exactly on grid times, repeated or not.
+    np.testing.assert_array_equal(hold_index(grid, np.array([1.5, 2.0])), [0, 3])
+    np.testing.assert_array_equal(hold_index(grid, np.array([2.0, 3.0])), [3, 4])
