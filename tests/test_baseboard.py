@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngStream
 from repro.dut.base import ConstantRail
+from repro.dut.gpu import Gpu, KernelLaunch
 from repro.hardware.baseboard import CHANNELS, Baseboard
 from repro.hardware.modules import SensorModule
 
@@ -97,8 +98,6 @@ def test_display_present_with_precomputed_fonts():
 
 def _noisy_gpu_board(seed: int) -> Baseboard:
     """Four production-spread modules, three on GPU feeds, one unconnected."""
-    from repro.dut.gpu import Gpu, KernelLaunch
-
     gpu = Gpu("rtx4000ada", RngStream(seed, "gpu"))
     gpu.launch(KernelLaunch(start=0.01, duration=0.3, n_waves=6))
     rails = gpu.rails(gpu.render(t_end=0.5, dt=1e-4))
