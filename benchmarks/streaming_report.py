@@ -14,9 +14,8 @@ The report compares three stages of the receive/persist pipeline:
   share is the decode row above).
 * **producer** — ``read_block`` through the shared producer ring
   (``producer=`` specs): the consumer path against a pre-filled ring
-  (what the ring buys once a producer core keeps it ahead), the honest
-  single-core sustained rate with inline production, and the fleet
-  ``read_all`` vectorised fold against the historical per-member loop.
+  (what the ring buys once a producer core keeps it ahead), and the
+  honest single-core sustained rate with inline production.
 * **dump I/O** — ``DumpWriter``/``DumpReader`` on a tmpfs file.  The old
   row-loop writer and the pure ``np.loadtxt`` reader no longer exist in
   the tree, so their throughput is carried as recorded baselines
@@ -143,12 +142,7 @@ def bench_producer(n_samples: int, repeat: int) -> dict:
     * ``sustained_samples_per_s`` — production + consumption on one
       core (inline producer, nothing hidden): the honest single-CPU
       rate, bounded by device simulation exactly like the classic path.
-
-    A fleet ``read_all`` comparison (vectorised fold vs the historical
-    per-member loop) rides along, since both rewrites ship together.
     """
-    from repro.core.fleet import Fleet
-
     batch = 8192
     setup = SimulatedSetup(
         _MODULES,
@@ -182,30 +176,6 @@ def bench_producer(n_samples: int, repeat: int) -> dict:
     sustained_t = best_of(consume, repeat)  # ring empty: inline production included
     setup.close()
 
-    def read_all_rate(vectorized: bool, devices: int, seconds: float, steps: int) -> float:
-        fleet = Fleet()
-        for i in range(devices):
-            fleet.add_spec(f"sim://pcie_slot_12v?seed={i}&device=rd{i}&calibrate=false")
-        fleet.read_all(seconds, vectorized=vectorized)  # warm-up
-        t0 = time.perf_counter()
-        total = 0
-        for _ in range(steps):
-            total += fleet.read_all(seconds, vectorized=vectorized).total_samples
-        dt = time.perf_counter() - t0
-        fleet.close()
-        return total / dt
-
-    def read_all_point(devices: int, seconds: float, steps: int) -> dict:
-        loop_rate = read_all_rate(False, devices, seconds, steps)
-        vec_rate = read_all_rate(True, devices, seconds, steps)
-        return {
-            "devices": devices,
-            "read_seconds": seconds,
-            "loop_samples_per_s": round(loop_rate),
-            "vectorized_samples_per_s": round(vec_rate),
-            "speedup": round(vec_rate / loop_rate, 2),
-        }
-
     return {
         "producer_batch": batch,
         "ring_bytes": 1 << 24,
@@ -213,13 +183,6 @@ def bench_producer(n_samples: int, repeat: int) -> dict:
         "read_block_samples_per_s": round(hot_n / hot_t),
         "sustained_samples_per_s": round(hot_n / sustained_t),
         "sustained_includes_device_simulation": True,
-        "fleet_read_all": {
-            # Bulk reads: device simulation dominates, the fold is noise.
-            "bulk": read_all_point(4, 2.0, 1),
-            # Wide fleet polled at realtime cadence: per-member Python
-            # overhead is the bottleneck the vectorised fold removes.
-            "wide": read_all_point(32, 0.002, 100),
-        },
     }
 
 

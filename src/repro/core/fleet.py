@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError, MeasurementError
 from repro.common.retry import DEFAULT_RECOVERY, RecoveryPolicy
 from repro.core.health import StreamHealth
@@ -320,76 +318,28 @@ class Fleet:
         if not self.members:
             raise MeasurementError("the fleet has no devices")
 
-    def read_all(self, seconds: float, vectorized: bool = True) -> FleetBlock:
+    def read_all(self, seconds: float) -> FleetBlock:
         """Advance every device by the same duration of stream time.
 
-        Each member advances by ``seconds`` with its own
-        fractional-sample residual carry (exactly
+        Members are pumped one after another, each by ``seconds`` with
+        its own fractional-sample residual carry (exactly
         :meth:`~repro.core.powersensor.PowerSensor.pump_seconds`
         semantics), so repeated short reads stay clock-aligned across
-        members even when their sample rates differ.
-
-        The default path gathers every member's block first, then folds
-        all of them in one vectorised pass over pre-sized concatenated
-        buffers — power, inter-sample gaps and the clock-alignment dts
-        are computed once for the whole fleet, with per-member boundary
-        corrections at each segment start.  ``vectorized=False`` keeps
-        the historical one-member-at-a-time loop; both paths are pinned
-        bitwise-identical by the test suite.
+        members even when their sample rates differ.  Each member folds
+        its block as soon as it is read: if a later member raises (e.g.
+        :class:`~repro.common.errors.StreamStalledError`), the samples
+        the earlier members already read stay counted in their energy.
         """
         self._require_members()
         if seconds < 0:
             raise MeasurementError(f"cannot read a negative duration ({seconds} s)")
         with self.tracer.span("fleet_read_all", devices=str(len(self.members))):
-            if not vectorized:
-                return FleetBlock(
-                    blocks={
-                        name: member.ps.pump_seconds(seconds)
-                        for name, member in self.members.items()
-                    }
-                )
-            return self._read_all_vectorized(seconds)
-
-    def _read_all_vectorized(self, seconds: float) -> FleetBlock:
-        # Stage 1 — gather: per-member reads (inherently per device; the
-        # sources are independent links/sockets), recovery included.
-        names = list(self.members)
-        sensors = [self.members[name].ps for name in names]
-        blocks = [ps._pump_read(ps._seconds_to_samples(seconds)) for ps in sensors]
-
-        # Stage 2 — one fused fold over every sample the fleet returned.
-        live = [i for i, block in enumerate(blocks) if len(block)]
-        if live:
-            lengths = np.array([len(blocks[i]) for i in live])
-            bounds = np.cumsum(lengths)
-            starts = bounds - lengths
-            times = np.concatenate([blocks[i].times for i in live])
-            values = np.concatenate([blocks[i].values for i in live])
-            power = values[:, 0::2] * values[:, 1::2]
-            dts = np.empty(len(times))
-            dts[1:] = np.diff(times)
-            # Per-member clock alignment at each segment boundary: the
-            # first dt continues from that member's previous read (or is
-            # one nominal interval on its very first block).
-            firsts = np.array(
-                [
-                    ps.sample_interval
-                    if ps._prev_time is None
-                    else times[start] - ps._prev_time
-                    for ps, start in zip((sensors[i] for i in live), starts)
-                ]
+            return FleetBlock(
+                blocks={
+                    name: member.ps.pump_seconds(seconds)
+                    for name, member in self.members.items()
+                }
             )
-            dts[starts] = np.maximum(firsts, 0.0)
-            thresholds = np.repeat(
-                [1.5 * sensors[i].sample_interval for i in live], lengths
-            )
-            gap_counts = np.add.reduceat((dts > thresholds).astype(np.intp), starts)
-            for k, i in enumerate(live):
-                s, e = starts[k], bounds[k]
-                sensors[i]._fold_segment(
-                    blocks[i], power[s:e], dts[s:e], int(gap_counts[k])
-                )
-        return FleetBlock(blocks=dict(zip(names, blocks)))
 
     def read(self) -> FleetState:
         """Snapshot every member (interval mode across the fleet)."""

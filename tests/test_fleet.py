@@ -17,7 +17,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError, MeasurementError, ServerError
+from repro.common.errors import (
+    ConfigurationError,
+    MeasurementError,
+    ServerError,
+    StreamStalledError,
+)
 from repro.core import (
     DirectSampleSource,
     ProtocolSampleSource,
@@ -310,6 +315,26 @@ def test_fleet_mark_all_reaches_every_member():
         blocks = fleet.read_all(0.01)
         for name in fleet.names:
             assert int(blocks[name].markers.sum()) == 1
+
+
+def test_fleet_stall_keeps_what_the_live_member_read():
+    """A stalled member must not discard samples its peers already read."""
+    ok_spec = "sim://pcie_slot_12v?seed=1&device=ok&calibrate=false"
+    fleet = Fleet.from_specs(
+        [ok_spec, "sim://pcie_slot_12v?seed=2&device=dead&calibrate=false&faults=dead"]
+    )
+    solo = build_bench(ok_spec)
+    try:
+        with pytest.raises(StreamStalledError):
+            fleet.read_all(0.01)
+        solo.ps.pump_seconds(0.01)
+        ok = fleet["ok"]
+        assert ok.ps.samples_seen == 200
+        assert ok.ps.total_energy() == solo.ps.total_energy()
+        assert ok.ps.health.gaps_bridged == 0
+    finally:
+        fleet.close()
+        solo.close()
 
 
 def test_fleet_duplicate_name_rejected():
