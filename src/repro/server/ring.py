@@ -1,13 +1,11 @@
 """The shared broadcast ring: encode each frame once, fan out by cursor.
 
-The thread-per-client daemon gave every subscriber its own
-:class:`~repro.server.backpressure.SendBuffer` holding a *copy* of each
-encoded frame reference and paid one ``put()`` (lock, policy check,
-notify) per client per frame.  At a thousand subscribers that is a
+A per-subscriber frame queue costs one ``put()`` (lock, policy check,
+notify) per client per frame: at a thousand subscribers that is a
 thousand lock round-trips per pump tick before a single byte reaches a
 socket.
 
-The asyncio core inverts the ownership: each device stream owns one
+The ring inverts the ownership: each device stream owns one
 append-only :class:`BroadcastRing` of encoded frames, and every
 subscriber holds a :class:`RingCursor` — an integer position into that
 ring.  Fan-out cost per tick is one encode plus N integer compares; the
@@ -39,7 +37,7 @@ from collections import deque
 
 from repro.common.errors import ConfigurationError
 
-#: Cursor policies (mirrors ``backpressure.POLICIES`` for the ring world).
+#: Backpressure policies, one per subscriber cursor.
 CURSOR_POLICIES = ("block", "drop-oldest", "downsample")
 
 
@@ -111,8 +109,7 @@ class RingCursor:
     this cursor consumed them (``drop-oldest`` pressure — the "evicted"
     kind), ``skipped_frames``/``skipped_samples`` are frames the
     ``downsample`` policy deliberately thinned.  ``dropped`` is their
-    sum: exactly one increment per frame this subscriber lost, mirroring
-    the :class:`~repro.server.backpressure.SendBuffer` contract.
+    sum: exactly one increment per frame this subscriber lost.
     """
 
     def __init__(self, ring: BroadcastRing, policy: str = "block") -> None:

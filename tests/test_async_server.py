@@ -1,10 +1,8 @@
 """The asyncio broadcast-ring server core and its bug-sweep regressions.
 
-Covers the ring/cursor primitives, the exact drop-accounting semantics
-of both engines, byte-identical equivalence between the asyncio and
-thread-per-client servers, and the four bug regressions: dry-reference
-pacing, the hardcoded handshake deadline, the client-thread/socket leak,
-and double-counted drops.  The 256-subscriber fan-out tests are gated
+Covers the ring/cursor primitives and their exact drop accounting, and
+the four bug regressions: dry-reference pacing, the hardcoded handshake
+deadline, the client-thread/socket leak, and double-counted drops.  The 256-subscriber fan-out tests are gated
 behind ``PS_SCALING=1`` (they run in the CI server-smoke job).
 """
 
@@ -25,14 +23,11 @@ from repro.core.replay import ReplaySampleSource
 from repro.firmware.commands import Command
 from repro.server import (
     BroadcastRing,
-    BufferTimeout,
     FrameDecoder,
     FrameType,
     PowerSensorServer,
     RemoteLink,
     RingCursor,
-    SendBuffer,
-    ThreadedPowerSensorServer,
     encode_frame,
 )
 from repro.server.client import CONNECT_BACKOFF
@@ -40,9 +35,6 @@ from repro.server.loadgen import run_swarm
 from repro.server.wire import encode_control
 from tests.conftest import make_loaded_setup
 from tests.test_fleet import record_tape
-
-ENGINES = [PowerSensorServer, ThreadedPowerSensorServer]
-ENGINE_IDS = ["async", "threaded"]
 
 scaling = pytest.mark.skipif(
     not os.environ.get("PS_SCALING"),
@@ -65,7 +57,7 @@ def served_engine(
     client_timeout=5.0,
     time_scale=0.0,
 ):
-    """Like test_server.served, but with a selectable engine class."""
+    """Like test_server.served, but with a selectable server class."""
     setup = make_loaded_setup(
         amps=8.0, direct=False, seed=seed, calibration_samples=1024
     )
@@ -194,92 +186,11 @@ def test_cursor_rebase_joins_live_edge_without_loss():
 
 
 # --------------------------------------------------------------------- #
-# SendBuffer drop accounting (satellite: drop audit)                    #
-# --------------------------------------------------------------------- #
-
-
-def test_sendbuffer_block_never_drops():
-    buf = SendBuffer(policy="block", max_frames=2, block_timeout=0.05)
-    assert buf.put(b"a") and buf.put(b"b")
-    with pytest.raises(BufferTimeout):
-        buf.put(b"c")
-    assert buf.dropped == 0
-    assert buf.dropped_oldest == 0 and buf.dropped_newest == 0
-
-
-def test_sendbuffer_drop_oldest_counts_evicted_frame_once():
-    buf = SendBuffer(policy="drop-oldest", max_frames=2)
-    assert buf.put(b"a") and buf.put(b"b")
-    assert buf.put(b"c")  # evicts a — one lost frame, one count
-    assert buf.dropped_oldest == 1
-    assert buf.dropped_newest == 0
-    assert buf.dropped == 1
-    assert buf.get(timeout=0) == b"b" and buf.get(timeout=0) == b"c"
-
-
-def test_sendbuffer_drop_oldest_refused_newcomer_is_counted_as_newest():
-    buf = SendBuffer(policy="drop-oldest", max_frames=1)
-    assert buf.put(b"eos", droppable=False)
-    assert not buf.put(b"data")  # nothing droppable to evict
-    assert buf.dropped_newest == 1 and buf.dropped_oldest == 0
-    assert buf.dropped == 1
-    assert buf.get(timeout=0) == b"eos"
-
-
-def test_sendbuffer_downsample_split_matches_pinned_sequence():
-    buf = SendBuffer(policy="downsample", max_frames=2)
-    results = [buf.put(f"f{i}".encode()) for i in range(6)]
-    # Pinned: two uncontended, then alternate skip/evict under pressure.
-    assert results == [True, True, False, True, False, True]
-    assert buf.dropped_newest == 2  # the skipped arrivals
-    assert buf.dropped_oldest == 2  # the evicted queue heads
-    assert buf.dropped == 4  # exactly one count per lost frame
-
-
-# --------------------------------------------------------------------- #
-# Engine equivalence: async stream == threaded stream, byte for byte    #
-# --------------------------------------------------------------------- #
-
-
-def _collect_stream(spec, mode="raw", window=1):
-    """Subscribe once and collect every DATA/WINDOW frame until EOS."""
-    link = RemoteLink(spec, mode=mode, window=window, recovery=None)
-    link.write(Command.START_STREAMING.value)
-    frames = []
-    while True:
-        frame = link.next_data()
-        if frame is None:
-            break
-        frames.append((int(frame.type), frame.seq, frame.payload))
-    hello, suback, eos = link.hello, link.suback, link.eos
-    link.close()
-    return hello, suback, frames, eos
-
-
-@pytest.mark.parametrize("mode,window", [("raw", 1), ("window", 8)])
-def test_async_and_threaded_streams_are_byte_identical(tmp_path, mode, window):
-    captures = []
-    for cls in ENGINES:
-        with served_engine(tmp_path, cls, duration=0.2, seed=11) as server:
-            captures.append(_collect_stream(server.address, mode=mode, window=window))
-    (hello_a, suback_a, frames_a, eos_a) = captures[0]
-    (hello_t, suback_t, frames_t, eos_t) = captures[1]
-    assert hello_a == hello_t
-    assert suback_a == suback_t
-    assert len(frames_a) == len(frames_t) > 0
-    assert frames_a == frames_t  # type, sequence and payload bytes
-    for eos in (eos_a, eos_t):
-        assert eos is not None and eos["frames_dropped"] == 0
-    assert eos_a["samples_sent"] == eos_t["samples_sent"]
-    assert eos_a["frames_sent"] == eos_t["frames_sent"]
-
-
-# --------------------------------------------------------------------- #
 # Bugfix regression: dry-reference pacing busy-spin                     #
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("cls", ENGINES, ids=ENGINE_IDS)
+@pytest.mark.parametrize("cls", [PowerSensorServer], ids=["async"])
 def test_pacing_survives_replay_tape_exhaustion(tmp_path, cls):
     """A dried finite tape must not freeze the pacing clock.
 
@@ -405,11 +316,11 @@ def _expect_type(sock, decoder, ftype, deadline=10.0):
     raise AssertionError(f"no {ftype!r} frame within {deadline}s")
 
 
-@pytest.mark.parametrize("cls", ENGINES, ids=ENGINE_IDS)
+@pytest.mark.parametrize("cls", [PowerSensorServer], ids=["async"])
 def test_client_churn_leaves_no_thread_or_socket_leak(tmp_path, cls):
     """100 connect/kill cycles; registrations and threads return to baseline.
 
-    Before the fix a reader/sender death could leave the threaded client
+    Before the fix a reader/sender death could leave the client
     registered with an open socket and a live peer thread.
     """
     setup = make_loaded_setup(amps=8.0, direct=False, seed=5, calibration_samples=1024)
@@ -460,7 +371,7 @@ def test_client_churn_leaves_no_thread_or_socket_leak(tmp_path, cls):
         setup.close()
 
 
-@pytest.mark.parametrize("cls", ENGINES, ids=ENGINE_IDS)
+@pytest.mark.parametrize("cls", [PowerSensorServer], ids=["async"])
 def test_wait_clients_rendezvous_survives_a_crashed_starter(tmp_path, cls):
     """A subscriber that STARTs and dies still counts toward wait_clients.
 
@@ -696,8 +607,7 @@ def test_window_accumulator_resets_after_last_subscriber_leaves(tmp_path):
     Chunk 400 with window 7 leaves a partial fold every tick; when the
     last subscriber goes away that leftover must be discarded, so a
     future subscriber's first WINDOW never averages samples from both
-    sides of an arbitrarily long gap (the threaded engine's fresh
-    per-client accumulator never could).
+    sides of an arbitrarily long gap.
     """
     with served_engine(
         tmp_path, PowerSensorServer, duration=30.0, time_scale=1.0

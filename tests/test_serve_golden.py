@@ -16,8 +16,9 @@ import struct
 
 import pytest
 
-from repro.server import PowerSensorServer, ThreadedPowerSensorServer
-from tests.test_async_server import _collect_stream, served_engine
+from repro.firmware.commands import Command
+from repro.server import PowerSensorServer, RemoteLink
+from tests.test_async_server import served_engine
 
 #: (mode, window) -> (sha256, samples_sent, frames_sent)
 GOLDEN = {
@@ -39,6 +40,21 @@ def _control_bytes(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode()
 
 
+def _collect_stream(spec, mode="raw", window=1):
+    """Subscribe once and collect every DATA/WINDOW frame until EOS."""
+    link = RemoteLink(spec, mode=mode, window=window, recovery=None)
+    link.write(Command.START_STREAMING.value)
+    frames = []
+    while True:
+        frame = link.next_data()
+        if frame is None:
+            break
+        frames.append((int(frame.type), frame.seq, frame.payload))
+    hello, suback, eos = link.hello, link.suback, link.eos
+    link.close()
+    return hello, suback, frames, eos
+
+
 def stream_digest(hello: dict, suback: dict, frames: list) -> str:
     h = hashlib.sha256()
     h.update(_control_bytes(hello))
@@ -49,10 +65,9 @@ def stream_digest(hello: dict, suback: dict, frames: list) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("cls", [PowerSensorServer, ThreadedPowerSensorServer])
 @pytest.mark.parametrize("mode,window", list(GOLDEN))
-def test_served_stream_matches_golden_digest(tmp_path, cls, mode, window):
-    with served_engine(tmp_path, cls, duration=0.2, seed=11) as server:
+def test_served_stream_matches_golden_digest(tmp_path, mode, window):
+    with served_engine(tmp_path, PowerSensorServer, duration=0.2, seed=11) as server:
         hello, suback, frames, eos = _collect_stream(
             server.address, mode=mode, window=window
         )
