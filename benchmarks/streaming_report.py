@@ -6,9 +6,8 @@ Usage::
 
 The report compares three stages of the receive/persist pipeline:
 
-* **decode** — wire bytes to ``SampleBlock``: the retained scalar decoder
-  (``vectorized=False``, the pre-optimisation implementation) against the
-  vectorised block decoder, on identical pre-produced 4-pair streams.
+* **decode** — wire bytes to ``SampleBlock`` through the vectorised block
+  decoder, on a pre-produced 4-pair stream.
 * **read_block** — the full pull path including the simulated device
   producing the bytes (the device side bounds this number; the host-side
   share is the decode row above).
@@ -78,12 +77,10 @@ from repro.observability import MetricsRegistry
 
 _MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 
-#: Throughput of the implementations this PR replaced, measured on the
-#: same workload (1M samples / rows, 4 pairs) at the pre-optimisation
-#: commit.  The scalar decoder still exists and is re-measured live; the
-#: old dump code paths do not, so their numbers are recorded here.
+#: Throughput of the dump implementations the vectorised writer and
+#: reader replaced, measured on the same workload (1M rows, 4 pairs) at
+#: the pre-optimisation commit; the old code paths no longer exist.
 RECORDED_BASELINES = {
-    "decode_scalar_samples_per_s": 70_541,
     "dump_write_samples_per_s": 169_772,
     "dump_read_samples_per_s": 349_073,
     "dump_roundtrip_samples_per_s": 114_217,
@@ -106,24 +103,14 @@ def bench_decode(n_samples: int, repeat: int) -> dict:
     source = setup.source
 
     vec_t = best_of(lambda: source._decode(data, n_samples), repeat)
-
-    # The scalar reference is ~50x slower; time a slice and scale the
-    # sample count, not the measured rate.
-    n_scalar = max(n_samples // 10, 10_000)
-    scalar_data = data[: len(data) * n_scalar // n_samples]
-    scalar_t = best_of(lambda: source._decode_scalar(scalar_data, n_scalar), repeat)
-
     read_t = best_of(lambda: setup.source.read_block(50_000), repeat)
     setup.close()
     vec_rate = n_samples / vec_t
-    scalar_rate = n_scalar / scalar_t
     return {
         "n_samples": n_samples,
         "n_pairs": 4,
         "wire_bytes": len(data),
-        "scalar_samples_per_s": round(scalar_rate),
         "vectorized_samples_per_s": round(vec_rate),
-        "decode_speedup": round(vec_rate / scalar_rate, 1),
         "read_block_samples_per_s": round(50_000 / read_t),
         "read_block_includes_device_simulation": True,
     }

@@ -78,7 +78,6 @@ def build_bench(
             calibration_samples=int(
                 options.pop("calibration_samples", SETUP_CALIBRATION_SAMPLES)
             ),
-            vectorized=bool(options.pop("vectorized", True)),
             recovery=recovery,
             registry=registry,
             tracer=tracer,

@@ -25,7 +25,7 @@ def make_loaded_setup(
 ) -> SimulatedSetup:
     """A one-module bench driving a constant load (shared helper).
 
-    Extra keyword arguments (``faults``, ``recovery``, ``vectorized``,
+    Extra keyword arguments (``faults``, ``recovery``, ``device``,
     ``registry``, ...) pass straight through to :class:`SimulatedSetup`.
     """
     setup = SimulatedSetup(

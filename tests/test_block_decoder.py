@@ -3,8 +3,9 @@
 ``StreamDecoder`` is the reference: byte-at-a-time, obviously correct.
 These tests fuzz ``decode_block``/``BlockDecoder`` against it — same
 events, same resync/packet accounting, for every chunking of the input —
-and then pin the vectorised ``ProtocolSampleSource`` to the scalar source
-on byte-identical wire streams, clean and fault-injected.
+and then pin ``ProtocolSampleSource`` to :class:`ScalarReferenceSource`,
+the original per-event source decoder kept here as the oracle, on
+byte-identical wire streams, clean and fault-injected.
 """
 
 from __future__ import annotations
@@ -14,14 +15,18 @@ import pytest
 
 from repro.core.health import StreamHealth
 from repro.core.setup import SimulatedSetup
+from repro.core.sources import ProtocolSampleSource, SampleBlock
 from repro.dut.instruments import ElectronicLoad, LabSupply, LoadedSupplyRail
 from repro.firmware.protocol import (
     BlockDecoder,
+    SensorReading,
     StreamDecoder,
+    Timestamp,
     decode_block,
     encode_sensor_packet,
     encode_timestamp_packet,
 )
+from repro.hardware.eeprom import SENSORS
 
 
 def _reference(chunks: list[bytes]) -> tuple[list, int, int, int | None]:
@@ -173,14 +178,82 @@ def test_block_decoder_reset_clears_state():
 
 
 # --------------------------------------------------------------------- #
-# Vectorised vs scalar ProtocolSampleSource                             #
+# ProtocolSampleSource vs the scalar reference source                   #
 # --------------------------------------------------------------------- #
+
+
+class ScalarReferenceSource(ProtocolSampleSource):
+    """The original per-event source decoder: the oracle for both tiers.
+
+    Feeds :class:`StreamDecoder` events one at a time and closes a sample
+    set at each timestamp once every enabled sensor has reported.
+    """
+
+    def __init__(self, link, **kwargs) -> None:
+        super().__init__(link, **kwargs)
+        self._decoder = StreamDecoder()
+
+    def _decode(self, data: bytes, n_expected: int) -> SampleBlock:
+        times: list[float] = []
+        rows: list[np.ndarray] = []
+        markers: list[bool] = []
+        n_enabled = sum(1 for c in self.configs if c.enabled)
+        self.health.bytes_read += len(data)
+        resyncs_before = self._decoder.resync_count
+        packets_decoded = 0
+        for event in self._decoder.feed(data):
+            packets_decoded += 1
+            if isinstance(event, Timestamp):
+                self._flush_sample(times, rows, markers, n_enabled)
+                self._current_time = self._unwrapper.update(event.micros)
+                self._have_timestamp = True
+            elif isinstance(event, SensorReading):
+                if not self._have_timestamp:
+                    continue  # wait for the first timestamp to anchor time
+                self._pending_sample[event.sensor] = event.value
+                self._pending_marker = self._pending_marker or event.marker
+        self._flush_sample(times, rows, markers, n_enabled)
+        self.health.packets_decoded += packets_decoded
+        self.health.packets_dropped += self._decoder.resync_count - resyncs_before
+        self.health.samples_decoded += len(times)
+        if not times:
+            return self._empty_block()
+        return SampleBlock(
+            times=np.asarray(times),
+            values=self._convert(np.array(rows)),
+            markers=np.asarray(markers, dtype=bool),
+            enabled=self._enabled_mask.copy(),
+        )
+
+    def _flush_sample(self, times, rows, markers, n_enabled: int) -> None:
+        """Close out the sample set being accumulated, if complete."""
+        if not self._have_timestamp or len(self._pending_sample) < n_enabled:
+            return
+        row = np.zeros(SENSORS, dtype=np.int64)
+        for sensor, value in self._pending_sample.items():
+            row[sensor] = value
+        times.append(self._current_time)
+        rows.append(row)
+        markers.append(self._pending_marker)
+        self._pending_sample = {}
+        self._pending_marker = False
+
 
 _MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 _READS = (7, 64, 3, 128, 1, 500, 9)
 
 
-def _collect(n_pairs: int, faults: str | None, seed: int, vectorized: bool):
+def _source_over(setup, source_cls):
+    """A fresh ``source_cls`` decoding the bench's link.
+
+    The bench's own source is stopped first, so both decoders under
+    comparison see the same command history and the same wire bytes.
+    """
+    setup.source.stop()
+    return source_cls(setup.link)
+
+
+def _collect(n_pairs: int, faults: str | None, seed: int, source_cls):
     """Run one source over a deterministic read schedule; return its output."""
     setup = SimulatedSetup(
         _MODULES[:n_pairs],
@@ -188,12 +261,11 @@ def _collect(n_pairs: int, faults: str | None, seed: int, vectorized: bool):
         calibration_samples=1024,
         faults=faults,
         fault_seed=seed,
-        vectorized=vectorized,
     )
     load = ElectronicLoad()
     load.set_current(4.0)
     setup.connect(0, LoadedSupplyRail(LabSupply(12.0), load))
-    source = setup.source
+    source = _source_over(setup, source_cls)
     source.start()
     blocks = []
     for i, n in enumerate(_READS):
@@ -207,7 +279,7 @@ def _collect(n_pairs: int, faults: str | None, seed: int, vectorized: bool):
     health = source.health.as_dict()
     # StreamHealth is a view over registry counters: both sides of the
     # view must agree byte-for-byte in every fuzzed fault scenario.
-    assert health == StreamHealth.counters_in(setup.registry)
+    assert health == StreamHealth.counters_in(source.registry)
     enabled = blocks[0].enabled
     setup.close()
     return times, values, markers, health, enabled
@@ -233,15 +305,17 @@ def test_vectorized_source_matches_scalar(n_pairs, faults, seed):
     """Byte-identical wire streams must decode byte-identically.
 
     Two independent benches with the same seeds produce the same wire
-    bytes (fault injection included); the vectorised and scalar decoders
-    must then agree exactly — samples, markers, and health accounting.
+    bytes (fault injection included); the production source and the
+    scalar oracle must then agree exactly — samples, markers, and
+    health accounting.
     """
     v_times, v_values, v_markers, v_health, v_enabled = _collect(
-        n_pairs, faults, seed, vectorized=True
+        n_pairs, faults, seed, ProtocolSampleSource
     )
     s_times, s_values, s_markers, s_health, s_enabled = _collect(
-        n_pairs, faults, seed, vectorized=False
+        n_pairs, faults, seed, ScalarReferenceSource
     )
+    assert v_times.size > 0
     assert np.array_equal(v_enabled, s_enabled)
     assert np.array_equal(v_times, s_times)
     assert np.array_equal(v_values, s_values)
@@ -252,14 +326,9 @@ def test_vectorized_source_matches_scalar(n_pairs, faults, seed):
 def test_vectorized_source_marker_interleaving_matches_scalar():
     """Markers land on the same sample index on both decode paths."""
     results = []
-    for vectorized in (True, False):
-        setup = SimulatedSetup(
-            _MODULES[:2],
-            seed=7,
-            calibration_samples=1024,
-            vectorized=vectorized,
-        )
-        source = setup.source
+    for source_cls in (ProtocolSampleSource, ScalarReferenceSource):
+        setup = SimulatedSetup(_MODULES[:2], seed=7, calibration_samples=1024)
+        source = _source_over(setup, source_cls)
         source.start()
         marked = []
         for n in (40, 25, 60, 10):

@@ -175,6 +175,8 @@ def test_create_source_unknown_scheme_lists_known():
 def test_build_bench_rejects_unknown_options():
     with pytest.raises(ConfigurationError, match="unknown sim:// options"):
         build_bench("sim://pcie_slot_12v?frobnicate=1")
+    with pytest.raises(ConfigurationError, match="unknown sim:// options"):
+        build_bench("sim://pcie_slot_12v?vectorized=1")
     with pytest.raises(ConfigurationError, match="unknown device scheme"):
         build_bench("carrier://pigeon")
 
