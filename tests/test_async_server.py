@@ -496,6 +496,32 @@ def test_drop_oldest_cursor_gap_accounting_stays_truthful(tmp_path):
     assert evicted == total_lost
 
 
+def test_block_policy_evicts_a_stalled_subscriber_after_the_timeout(tmp_path):
+    """``block`` holds the pump for a laggard only for ``client_timeout``.
+
+    The stalled reader is evicted; the other subscriber still receives
+    every frame, in order, with nothing dropped.
+    """
+    with served_engine(
+        tmp_path,
+        PowerSensorServer,
+        duration=6.0,
+        wait_clients=2,
+        policy="block",
+        buffer_frames=4,
+        client_timeout=0.3,
+    ) as server:
+        swarm = run_swarm(
+            server.address, 2, stall=3.0, slow_fraction=0.5, timeout=120.0
+        )
+    assert server.registry.value("server_clients_evicted_total") == 1
+    encodes = encoded_frames(server)
+    fast = swarm.clients[1]
+    assert fast.eos is not None and fast.eos["frames_dropped"] == 0
+    assert fast.first_seq == 1 and fast.seq_gaps == 0
+    assert fast.frames == encodes
+
+
 # --------------------------------------------------------------------- #
 # Handshake, window-fold and EOS-accounting regressions                 #
 # --------------------------------------------------------------------- #
