@@ -1,9 +1,11 @@
 """The asyncio broadcast-ring server core and its bug-sweep regressions.
 
-Covers the ring/cursor primitives and their exact drop accounting, and
-the four bug regressions: dry-reference pacing, the hardcoded handshake
-deadline, the client-thread/socket leak, and double-counted drops.  The 256-subscriber fan-out tests are gated
-behind ``PS_SCALING=1`` (they run in the CI server-smoke job).
+Covers the ring/cursor primitives and their exact drop accounting, the
+served backpressure policies, and the four bug regressions:
+dry-reference pacing, the hardcoded handshake deadline, the
+client-thread/socket leak, and double-counted drops.  The
+256-subscriber fan-out tests are gated behind ``PS_SCALING=1`` (they
+run in the CI server-smoke job).
 """
 
 from __future__ import annotations
@@ -509,7 +511,7 @@ def test_block_policy_evicts_a_stalled_subscriber_after_the_timeout(tmp_path):
         wait_clients=2,
         policy="block",
         buffer_frames=4,
-        client_timeout=0.3,
+        client_timeout=1.0,
     ) as server:
         swarm = run_swarm(
             server.address, 2, stall=3.0, slow_fraction=0.5, timeout=120.0
