@@ -18,9 +18,6 @@ Compares the ``server.scaling`` section of a freshly generated report
 * the 1024-subscriber ``drop-oldest`` point (when present) falls below
   20 kHz aggregate delivery — the paper-level floor for a fan-out that
   is still "real time" for at least one subscriber's worth of stream;
-* the producer-ring end-to-end ``read_block`` rate (the hot-ring
-  consumer path in the ``producer`` section) regresses by more than
-  ``--max-regression`` percent against the committed baseline;
 * the telemetry store (``store`` section, when present) breaks one of
   its structural guarantees — a tiered query returning more than its
   ``max_points`` budget, or falling under ``--min-tiered-speedup``
@@ -101,21 +98,6 @@ def check(
                     f"(encoded={point.get('frames_encoded')}, "
                     f"expected={point.get('frames_expected')})"
                 )
-
-    base_rb = baseline.get("producer", {}).get("read_block_samples_per_s")
-    cur_rb = current.get("producer", {}).get("read_block_samples_per_s")
-    if cur_rb is not None and base_rb is not None:
-        floor = base_rb * (1.0 - max_regression / 100.0)
-        line = (
-            f"producer-ring read_block rate: {cur_rb}/s "
-            f"(baseline {base_rb}/s, floor {floor:.0f}/s)"
-        )
-        if cur_rb < floor:
-            failures.append(f"REGRESSION {line}")
-        else:
-            print(f"ok: {line}")
-    elif base_rb is not None:
-        failures.append("current report has no producer.read_block_samples_per_s")
 
     cur_store = current.get("store")
     base_store = baseline.get("store", {})

@@ -11,10 +11,6 @@ The report compares three stages of the receive/persist pipeline:
 * **read_block** — the full pull path including the simulated device
   producing the bytes (the device side bounds this number; the host-side
   share is the decode row above).
-* **producer** — ``read_block`` through the shared producer ring
-  (``producer=`` specs): the consumer path against a pre-filled ring
-  (what the ring buys once a producer core keeps it ahead), and the
-  honest single-core sustained rate with inline production.
 * **dump I/O** — ``DumpWriter``/``DumpReader`` on a tmpfs file.  The old
   row-loop writer and the pure ``np.loadtxt`` reader no longer exist in
   the tree, so their throughput is carried as recorded baselines
@@ -113,63 +109,6 @@ def bench_decode(n_samples: int, repeat: int) -> dict:
         "vectorized_samples_per_s": round(vec_rate),
         "read_block_samples_per_s": round(50_000 / read_t),
         "read_block_includes_device_simulation": True,
-    }
-
-
-def bench_producer(n_samples: int, repeat: int) -> dict:
-    """End-to-end ``read_block`` with the producer ring decoupling.
-
-    Two numbers, deliberately split:
-
-    * ``read_block_samples_per_s`` — the consumer path alone (ring pop,
-      zero-copy view into decode) against a pre-filled ring, i.e. the
-      steady state when a producer core keeps the ring ahead of the
-      consumer.  This is what the ring buys architecturally and the
-      number the regression gate tracks.
-    * ``sustained_samples_per_s`` — production + consumption on one
-      core (inline producer, nothing hidden): the honest single-CPU
-      rate, bounded by device simulation exactly like the classic path.
-    """
-    batch = 8192
-    setup = SimulatedSetup(
-        _MODULES,
-        seed=0,
-        calibration_samples=1024,
-        producer="inline",
-        producer_batch=batch,
-        ring_bytes=1 << 24,
-    )
-    setup.source.start()
-    source = setup.source
-    link = setup.link
-    source.read_block(batch)  # launches the producer; one warm-up record
-    worker = link._worker
-    # Cap the pre-fill at what the ring can hold (record = header +
-    # payload, 8-byte aligned); ~1M samples at 4 pairs is ~18 MB.
-    record_bytes = 16 + batch * link.firmware.bytes_per_sample()
-    fills = max(min(n_samples // batch, (1 << 24) // record_bytes - 2), 1)
-    hot_n = fills * batch
-
-    def consume() -> None:
-        for _ in range(fills):
-            source.read_block(batch)  # exactly one record: zero-copy decode
-
-    hot_t = float("inf")
-    for _ in range(repeat):
-        for _ in range(fills):
-            worker.inline_fill()  # pre-fill outside the timed region
-        hot_t = min(hot_t, best_of(consume, 1))
-
-    sustained_t = best_of(consume, repeat)  # ring empty: inline production included
-    setup.close()
-
-    return {
-        "producer_batch": batch,
-        "ring_bytes": 1 << 24,
-        "hot_samples": hot_n,
-        "read_block_samples_per_s": round(hot_n / hot_t),
-        "sustained_samples_per_s": round(hot_n / sustained_t),
-        "sustained_includes_device_simulation": True,
     }
 
 
@@ -763,7 +702,6 @@ def bench_storage(repeat: int) -> dict:
 
 SECTIONS = {
     "decode": lambda a: bench_decode(a.samples, a.repeat),
-    "producer": lambda a: bench_producer(a.samples, a.repeat),
     "dump": lambda a: bench_dump(a.samples, a.repeat),
     "observability": lambda a: bench_observability(a.samples, a.repeat),
     "server": lambda a: bench_server(a.repeat),

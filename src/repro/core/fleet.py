@@ -53,10 +53,7 @@ def build_bench(
     ``device=`` option as the bench's device label.
     """
     from repro.core.replay import ReplaySetup
-    from repro.core.setup import SETUP_CALIBRATION_SAMPLES, SimulatedSetup
-    from repro.core.setup import parse_module_keys
-    from repro.dut.rails import build_rail
-    from repro.transport.shm import DEFAULT_BATCH, DEFAULT_RING_BYTES
+    from repro.core.setup import build_simulated_setup
 
     if "://" not in spec:
         spec = f"sim://{spec}"
@@ -66,36 +63,14 @@ def build_bench(
     options.pop("device", None)
 
     if parsed.scheme == "sim":
-        dut = str(options.pop("dut", "load:8.0@12.0"))
-        seed = int(options.pop("seed", 0))
-        setup = SimulatedSetup(
-            parse_module_keys(parsed.target or "pcie_slot_12v"),
-            seed=seed,
-            direct=bool(options.pop("direct", False)),
-            faults=options.pop("faults", None),
-            fault_seed=options.pop("fault_seed", None),
-            calibrate=bool(options.pop("calibrate", True)),
-            calibration_samples=int(
-                options.pop("calibration_samples", SETUP_CALIBRATION_SAMPLES)
-            ),
+        return build_simulated_setup(
+            parsed.target or "pcie_slot_12v",
+            options,
             recovery=recovery,
             registry=registry,
             tracer=tracer,
             device=device,
-            producer=options.pop("producer", None),
-            producer_batch=int(options.pop("producer_batch", DEFAULT_BATCH)),
-            ring_bytes=int(options.pop("ring_bytes", DEFAULT_RING_BYTES)),
         )
-        if options:
-            raise ConfigurationError(
-                f"unknown sim:// options {sorted(options)} in {spec!r}"
-            )
-        rail = build_rail(dut, seed)
-        if rail is not None:
-            for channel in setup.baseboard.populated_slots():
-                setup.connect(channel.slot, rail)
-                break
-        return setup
     if parsed.scheme == "remote":
         from repro.server.client import RemoteSetup
 

@@ -24,7 +24,6 @@ from repro.hardware.modules import SensorModule
 from repro.observability import MetricsRegistry, Tracer
 from repro.transport.faults import FaultModel, FaultySerialLink, parse_fault_spec
 from repro.transport.link import VirtualSerialLink
-from repro.transport.shm import DEFAULT_BATCH, DEFAULT_RING_BYTES, ProducerLink
 
 #: Default calibration length for programmatic setups.  The paper's
 #: procedure uses 128 k samples; 32 k keeps test construction fast while
@@ -52,12 +51,6 @@ class SimulatedSetup:
         registry: metrics registry shared by every layer of the bench
             (fault layer, sample source, PowerSensor); a fresh one is
             created if not given.
-        producer: run device simulation in a batching producer feeding a
-            shared SPSC ring (``"thread"``, ``"process"``, ``"inline"``
-            or ``"auto"``; see :mod:`repro.transport.shm`).  ``None``
-            (default) keeps the classic interleaved pump, byte-for-byte.
-        producer_batch: samples per producer batch.
-        ring_bytes: producer ring capacity in bytes.
 
     Attributes:
         baseboard, eeprom, firmware (None on the direct path), link (None
@@ -81,9 +74,6 @@ class SimulatedSetup:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         device: str | None = None,
-        producer: str | None = None,
-        producer_batch: int = DEFAULT_BATCH,
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         if len(module_keys) > 4:
             raise ValueError("a baseboard has at most four slots")
@@ -126,9 +116,6 @@ class SimulatedSetup:
                     registry=self.registry,
                     tracer=self.tracer,
                     device=device,
-                    producer=producer,
-                    producer_batch=producer_batch,
-                    ring_bytes=ring_bytes,
                 )
             )
         else:
@@ -141,13 +128,6 @@ class SimulatedSetup:
                     seed=seed if fault_seed is None else fault_seed,
                     registry=self.registry,
                     device=device,
-                )
-            if producer:
-                self.link = ProducerLink(
-                    self.link,
-                    producer=producer,
-                    batch=producer_batch,
-                    ring_bytes=ring_bytes,
                 )
             self.source = ProtocolSampleSource(
                 self.link,
@@ -183,30 +163,38 @@ def parse_module_keys(modules: str) -> list[str | None]:
     ]
 
 
-def simulated_source(
-    modules: str = "pcie_slot_12v",
+def build_simulated_setup(
+    modules: str,
+    options: dict[str, object],
     *,
-    dut: str = "load:8.0@12.0",
-    seed: int = 0,
-    direct: bool = False,
-    faults: str | None = None,
-    fault_seed: int | None = None,
-    calibrate: bool = True,
-    calibration_samples: int = SETUP_CALIBRATION_SAMPLES,
-    device: str | None = None,
-    producer: str | None = None,
-    producer_batch: int = DEFAULT_BATCH,
-    ring_bytes: int = DEFAULT_RING_BYTES,
+    recovery: RecoveryPolicy | None = DEFAULT_RECOVERY,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-):
-    """Factory behind ``create_source("sim://MODULES?...")``.
+    device: str | None = None,
+) -> SimulatedSetup:
+    """Assemble the bench a ``sim://MODULES?...`` spec describes.
 
-    Assembles a full simulated bench (modules, calibration, DUT rail on
-    the first populated slot) and returns its sample source.  The bench
-    stays reachable through ``source.bench`` so the baseboard and DUT
-    outlive the factory call.
+    The one parser of ``sim://`` options (``dut``, ``seed``, ``direct``,
+    ``faults``, ``fault_seed``, ``calibrate``, ``calibration_samples``),
+    shared by :func:`simulated_source` and
+    :func:`repro.core.fleet.build_bench`.  Any other option raises
+    :class:`~repro.common.errors.ConfigurationError` before the bench is
+    built.  The DUT rail is wired to the first populated slot.
     """
+    options = dict(options)
+    dut = str(options.pop("dut", "load:8.0@12.0"))
+    seed = int(options.pop("seed", 0))
+    direct = bool(options.pop("direct", False))
+    faults = options.pop("faults", None)
+    fault_seed = options.pop("fault_seed", None)
+    calibrate = bool(options.pop("calibrate", True))
+    calibration_samples = int(
+        options.pop("calibration_samples", SETUP_CALIBRATION_SAMPLES)
+    )
+    if options:
+        raise ConfigurationError(
+            f"unknown sim:// options {sorted(options)} for modules {modules!r}"
+        )
     setup = SimulatedSetup(
         parse_module_keys(modules),
         seed=seed,
@@ -215,18 +203,36 @@ def simulated_source(
         fault_seed=fault_seed,
         calibrate=calibrate,
         calibration_samples=calibration_samples,
+        recovery=recovery,
         registry=registry,
         tracer=tracer,
         device=device,
-        producer=producer,
-        producer_batch=producer_batch,
-        ring_bytes=ring_bytes,
     )
     rail = build_rail(dut, seed)
     if rail is not None:
         for channel in setup.baseboard.populated_slots():
             setup.connect(channel.slot, rail)
             break
+    return setup
+
+
+def simulated_source(
+    modules: str = "pcie_slot_12v",
+    *,
+    registry: MetricsRegistry | None = None,
+    tracer: Tracer | None = None,
+    device: str | None = None,
+    **options,
+):
+    """Factory behind ``create_source("sim://MODULES?...")``.
+
+    Builds the bench with :func:`build_simulated_setup` and returns its
+    sample source.  The bench stays reachable through ``source.bench`` so
+    the baseboard and DUT outlive the factory call.
+    """
+    setup = build_simulated_setup(
+        modules, options, registry=registry, tracer=tracer, device=device
+    )
     source = setup.source
     source.bench = setup
     return source

@@ -52,7 +52,6 @@ from repro.observability import MetricsRegistry, Tracer
 from repro.hardware.baseboard import Baseboard
 from repro.hardware.eeprom import RECORD_SIZE, SENSORS, SensorConfig, VirtualEeprom
 from repro.transport.link import VirtualSerialLink
-from repro.transport.shm import DEFAULT_BATCH, DEFAULT_RING_BYTES
 
 #: ADC reconstruction constants shared by firmware display, host and direct path.
 ADC_VREF = 3.3
@@ -324,13 +323,7 @@ class ProtocolSampleSource(SampleSource):
         double decode.
         """
         data = self.link.pump_samples(n_samples)
-        block = self._decode(data, n_samples)
-        # A producer-backed link may hand back a ring view (valid only
-        # until the next pump); the serving layer keeps raw bytes around
-        # for framing, so pin them down here.
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        return block, data
+        return self._decode(data, n_samples), data
 
     # ------------------------------------------------------------------ #
     # Decoding                                                           #
@@ -572,17 +565,7 @@ class ProtocolSampleSource(SampleSource):
 
 
 class DirectSampleSource(SampleSource):
-    """Vectorised source reading the baseboard directly (no byte encoding).
-
-    With ``producer=`` set, sensor physics runs in a batching producer
-    (thread, forked process, or inline — see :mod:`repro.transport.shm`)
-    that pushes raw ADC code blocks through a shared SPSC ring;
-    :meth:`read_block` then only reassembles codes into one pre-sized
-    array and converts.  Opt-in: batched production consumes the noise
-    RNG at batch granularity, so the stream is pinned byte-identical
-    across producer modes at equal ``producer_batch``, not against the
-    unbatched default path.
-    """
+    """Vectorised source reading the baseboard directly (no byte encoding)."""
 
     def __init__(
         self,
@@ -592,9 +575,6 @@ class DirectSampleSource(SampleSource):
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         device: str | None = None,
-        producer: str | None = None,
-        producer_batch: int = DEFAULT_BATCH,
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         self.baseboard = baseboard
         self.eeprom = eeprom
@@ -618,11 +598,6 @@ class DirectSampleSource(SampleSource):
         )
         self._marker_pending = 0
         self.streaming = False
-        self._producer_mode = producer
-        self._producer_batch = int(producer_batch)
-        self._ring_bytes = int(ring_bytes)
-        self._code_producer = None
-        self._code_carry: np.ndarray | None = None
 
     @property
     def configs(self) -> list[SensorConfig]:
@@ -643,67 +618,11 @@ class DirectSampleSource(SampleSource):
     def start(self) -> None:
         self.streaming = True
 
-    def _launch_producer(self):
-        """Launch the code producer on the first read, not at start().
-
-        Deferred for the same reason as :class:`ProducerLink`: benches
-        keep wiring themselves up (DUT rail connection) after streaming
-        starts, and a worker launched at start() would snapshot the
-        half-built baseboard.
-        """
-        from repro.transport.shm import CodeRingProducer
-
-        self._code_carry = None
-        self._code_producer = CodeRingProducer(
-            self.baseboard,
-            self.clock.now,
-            producer=self._producer_mode,
-            batch=self._producer_batch,
-            ring_bytes=self._ring_bytes,
-        )
-        return self._code_producer
-
     def stop(self) -> None:
-        if self._code_producer is not None:
-            self._code_producer.close()
-            self._code_producer = None
-            self._code_carry = None
         self.streaming = False
 
     def mark(self) -> None:
         self._marker_pending += 1
-
-    def _gather_codes(self, n_samples: int) -> np.ndarray:
-        """Fill a pre-sized code buffer from the producer ring.
-
-        Consumes whole ring records (plus any carried remainder) until
-        ``n_samples`` rows are filled or the producer ends; a dead or
-        stopped producer simply yields a short (possibly empty) result,
-        which the recovery machinery upstream treats as a stall.
-        """
-        producer = self._code_producer
-        if producer is None:
-            producer = self._launch_producer()
-        out = np.empty((n_samples, SENSORS), dtype=np.int64)
-        filled = 0
-        carry = self._code_carry
-        self._code_carry = None
-        if carry is not None and len(carry):
-            take = min(len(carry), n_samples)
-            out[:take] = carry[:take]
-            if take < len(carry):
-                self._code_carry = carry[take:]
-            filled = take
-        while filled < n_samples:
-            codes = producer.next_codes()
-            if codes is None:
-                break
-            take = min(len(codes), n_samples - filled)
-            out[filled : filled + take] = codes[:take]
-            if take < len(codes):
-                self._code_carry = codes[take:]
-            filled += take
-        return out[:filled]
 
     def read_block(self, n_samples: int) -> SampleBlock:
         timing = self.baseboard.timing
@@ -716,11 +635,7 @@ class DirectSampleSource(SampleSource):
                 markers=np.zeros(0, dtype=bool),
                 enabled=np.array([c.enabled for c in self.configs]),
             )
-        if self._producer_mode:
-            codes = self._gather_codes(n_samples)
-            n_samples = len(codes)  # short on producer stop/crash
-        else:
-            codes = self.baseboard.averaged_codes(start, n_samples)
+        codes = self.baseboard.averaged_codes(start, n_samples)
         self.clock.tick(n_samples)
         self.health.samples_decoded += n_samples
         values, enabled = convert_codes(codes, self.configs)
@@ -756,9 +671,7 @@ _LAZY_SOURCES: dict[str, str] = {
 }
 
 #: Typed coercion for URI query options (everything else stays a string).
-_SPEC_INT_KEYS = frozenset(
-    {"seed", "fault_seed", "window", "calibration_samples", "producer_batch", "ring_bytes"}
-)
+_SPEC_INT_KEYS = frozenset({"seed", "fault_seed", "window", "calibration_samples"})
 _SPEC_FLOAT_KEYS = frozenset({"speed", "connect_timeout", "t0", "t1"})
 _SPEC_BOOL_KEYS = frozenset({"direct", "loop", "calibrate"})
 _SPEC_TRUE = frozenset({"1", "true", "yes", "on", ""})

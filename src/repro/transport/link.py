@@ -85,11 +85,6 @@ class VirtualSerialLink:
         This is the simulation analogue of a blocking read: the device
         produces the bytes covering that much simulated time and they are
         returned (after passing through the buffer accounting).
-
-        This is also the producer-side hot call of
-        :class:`repro.transport.shm.ProducerLink`, which runs it in large
-        batches off the consumer's read path and hands the returned
-        buffer straight to the shared ring.
         """
         self._check_open()
         data = self.firmware.produce(n_samples)

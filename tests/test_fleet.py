@@ -173,10 +173,17 @@ def test_create_source_unknown_scheme_lists_known():
 
 
 def test_build_bench_rejects_unknown_options():
-    with pytest.raises(ConfigurationError, match="unknown sim:// options"):
-        build_bench("sim://pcie_slot_12v?frobnicate=1")
-    with pytest.raises(ConfigurationError, match="unknown sim:// options"):
-        build_bench("sim://pcie_slot_12v?vectorized=1")
+    # build_bench and create_source share one sim:// option parser.
+    for spec in (
+        "sim://pcie_slot_12v?frobnicate=1",
+        "sim://pcie_slot_12v?vectorized=1",
+        "sim://pcie_slot_12v?producer=thread",
+        "sim://pcie_slot_12v?bogus=3",
+    ):
+        with pytest.raises(ConfigurationError, match="unknown sim:// options"):
+            build_bench(spec)
+        with pytest.raises(ConfigurationError, match="unknown sim:// options"):
+            create_source(spec)
     with pytest.raises(ConfigurationError, match="unknown device scheme"):
         build_bench("carrier://pigeon")
 

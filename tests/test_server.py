@@ -518,6 +518,33 @@ def test_remote_setup_fault_plumbing_survives_fragmented_reads(tmp_path):
 
 
 # --------------------------------------------------------------------- #
+# Server batching: raw slices re-framed at the chunk cadence            #
+# --------------------------------------------------------------------- #
+
+
+def test_split_raw_reframes_clean_batches():
+    raw = bytes(range(120))  # 20 samples at 6 bytes/sample
+    out = PowerSensorServer._split_raw(raw, 20, 8)
+    assert [(len(p) // 6, n) for p, n in out] == [(8, 8), (8, 8), (4, 4)]
+    assert b"".join(p for p, _ in out) == raw
+
+
+def test_split_raw_passes_through_small_and_mangled_reads():
+    raw = bytes(60)
+    assert PowerSensorServer._split_raw(raw, 10, 16) == [(raw, 10)]  # fits one chunk
+    mangled = bytes(61)  # fault-shortened: not a whole number of samples
+    assert PowerSensorServer._split_raw(mangled, 20, 8) == [(mangled, 20)]
+    assert PowerSensorServer._split_raw(b"", 0, 8) == [(b"", 0)]
+
+
+def test_server_rejects_bad_pump_batch():
+    setup = make_loaded_setup(direct=False, calibration_samples=1024)
+    with pytest.raises(ConfigurationError):
+        PowerSensorServer(setup.source, "unix:/tmp/x.sock", pump_batch=0)
+    setup.close()
+
+
+# --------------------------------------------------------------------- #
 # CLI and PMT surfaces                                                  #
 # --------------------------------------------------------------------- #
 

@@ -8,8 +8,8 @@ of three seeded outputs:
 * the wire bytes a 4-module bench measuring a rendered GPU trace sends
   through ``link.pump_samples``, pumped in uneven chunks;
 * the decoded blocks of a ``sim://…?dut=gpu:rtx4000ada`` bench;
-* the uint16 ``averaged_codes`` records the shared-memory code producer
-  pushes through its ring.
+* the uint16 ``averaged_codes`` of a direct-path bench, read in
+  6000-sample batches.
 
 A digest that moves is a behaviour change to find and fix, not a value
 to regenerate.
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.common.clock import VirtualClock
 from repro.common.rng import RngStream
 from repro.core.fleet import build_bench
 from repro.core.setup import SimulatedSetup
 from repro.dut.gpu import Gpu, KernelLaunch
-from repro.transport.shm import CodeRingProducer
 
 MODULES = ["pcie_slot_12v", "pcie8pin", "pcie_slot_3v3", "usbc"]
 FEEDS = ("slot_12v", "ext_12v", "slot_3v3")
@@ -85,14 +85,15 @@ def test_sim_gpu_member_blocks_are_pinned():
     assert digest.hexdigest() == SIM_BLOCKS_SHA256
 
 
-def test_producer_ring_codes_are_pinned():
+def test_batched_averaged_codes_are_pinned():
     setup = _gpu_bench(77, direct=True)
-    producer = CodeRingProducer(setup.baseboard, 0.25, producer="inline", batch=6000)
+    clock = VirtualClock(start=0.25)
+    clock.configure_ticks(setup.baseboard.timing.output_interval_s)
     digest = hashlib.sha256()
     for _ in range(4):
-        codes = producer.next_codes()
-        assert codes is not None and codes.shape == (6000, 8)
+        codes = setup.baseboard.averaged_codes(clock.now, 6000)
+        clock.tick(6000)
+        assert codes.shape == (6000, 8)
         digest.update(codes.astype("<u2").tobytes())
-    producer.close()
     setup.close()
     assert digest.hexdigest() == RING_CODES_SHA256
